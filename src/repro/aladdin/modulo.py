@@ -9,8 +9,8 @@ bounds the initiation interval from below by two static quantities:
   over the cycle.  We fold the dynamic trace onto one *round* body
   (a round = ``lanes`` consecutive iterations, the unit our schedulers
   gate on) and find the smallest II admitting no positive cycle under
-  edge weights ``latency - II * distance`` (Bellman-Ford feasibility,
-  binary-searched).
+  edge weights ``latency - II * distance`` (Bellman-Ford feasibility
+  per strongly connected component, binary-searched).
 * **ResMII** — the resource constraint.  A round body with ``n_c`` ops of
   FU class ``c`` on one lane, against a per-lane per-cycle reservation
   width ``cap_c`` (:data:`repro.aladdin.ir.FU_CAPACITY`), needs
@@ -32,7 +32,9 @@ FU/port budgets bound overlap), so variable-latency memory never
 invalidates the schedule — it just stretches it.
 """
 
-from repro.aladdin.ir import FU_LATENCY, OP_INFO, fu_capacities, is_memory
+from collections import Counter
+
+from repro.aladdin.ir import MEMORY_OPS, OP_INFO, fu_capacities, is_memory
 
 #: Cap on remembered (source-position, source-round) entries per serial
 #: node during recurrence folding.  Serial chains between rounds are
@@ -104,19 +106,21 @@ def _fold_round_body(trace, assignment):
     # a recurrence that routes through a reduction tail (round -> serial
     # ... serial -> round) still constrains the cadence.
     edges = {}
+    edges_get = edges.get
     serial_in = {}  # serial node -> {(src_pos, src_round): max latency sum}
     op_lat = {op: OP_INFO[op].latency for op in set(node_ops)}
+    node_lat = [op_lat[op] for op in node_ops]
     deps = trace.deps
     for node in range(n):
         r = rounds[node]
         if r < 0:
-            lat_s = op_lat[node_ops[node]]
+            lat_s = node_lat[node]
             fanin = {}
             for pred in deps[node]:
                 rp = rounds[pred]
                 if rp >= 0:
                     key = (positions[pred], rp)
-                    w = op_lat[node_ops[pred]] + lat_s
+                    w = node_lat[pred] + lat_s
                     if fanin.get(key, -1) < w:
                         fanin[key] = w
                 else:
@@ -138,14 +142,16 @@ def _fold_round_body(trace, assignment):
                 # they only make the fold *more* conservative, and a
                 # negative distance would break the II monotonicity the
                 # binary search relies on.
-                key = (positions[pred], pv, max(r - rp, 0))
-                w = op_lat[node_ops[pred]]
-                if edges.get(key, -1) < w:
+                d = r - rp
+                key = (positions[pred], pv, d if d > 0 else 0)
+                w = node_lat[pred]
+                if edges_get(key, -1) < w:
                     edges[key] = w
             else:
                 for (pu, ru), w in serial_in.get(pred, {}).items():
-                    key = (pu, pv, max(r - ru, 0))
-                    if edges.get(key, -1) < w:
+                    d = r - ru
+                    key = (pu, pv, d if d > 0 else 0)
+                    if edges_get(key, -1) < w:
                         edges[key] = w
     # Critical path of one round body over intra-round (d == 0) edges.
     finish = [0] * body
@@ -159,29 +165,144 @@ def _fold_round_body(trace, assignment):
     for node in range(n):
         if rounds[node] == 0:
             pos = positions[node]
-            t = finish[pos] + op_lat[node_ops[node]]
+            t = finish[pos] + node_lat[node]
             if t > round_length:
                 round_length = t
     num_positions = max(body, max(counters) if counters else 0)
     return positions, num_positions, uniform, edges, round_length
 
 
-def _has_positive_cycle(num_positions, edges, ii):
+def _recurrence_components(num_positions, edges):
+    """The folded graph cut into the pieces that can hold a cycle.
+
+    A cycle never leaves its strongly connected component, so only edges
+    inside one can constrain the II.  Returns one ``(size, edge_list)``
+    per component that has an edge (a trivial component needs a
+    self-loop), in local indices ``0 .. size-1``; each ``edge_list`` holds
+    ``(u, v, latency, distance)`` sorted by ``u``'s rank in a topological
+    order of the component's distance-0 edges, so one Bellman-Ford pass
+    carries a value along every distance-0 chain.
+    """
+    folded = [(pu, pv, lat, d) for (pu, pv, d), lat in edges.items()
+              if pu < num_positions and pv < num_positions]
+    succ = [[] for _ in range(num_positions)]
+    for pu, pv, _lat, _d in folded:
+        succ[pu].append(pv)
+    # Iterative Tarjan: comp[p] numbers p's strongly connected component.
+    index = [-1] * num_positions
+    low = [0] * num_positions
+    on_stack = [False] * num_positions
+    comp = [-1] * num_positions
+    stack = []
+    counter = num_comps = 0
+    for root in range(num_positions):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = num_comps
+                    if w == v:
+                        break
+                num_comps += 1
+    grouped = {}
+    for edge in folded:
+        if comp[edge[0]] == comp[edge[1]]:
+            grouped.setdefault(comp[edge[0]], []).append(edge)
+    components = []
+    for comp_edges in grouped.values():
+        members = sorted({pu for pu, _pv, _lat, _d in comp_edges})
+        local = {p: i for i, p in enumerate(members)}
+        comp_edges = [(local[pu], local[pv], lat, d)
+                      for pu, pv, lat, d in comp_edges]
+        # Kahn's order over distance-0 edges; positions on or behind a
+        # distance-0 cycle never reach in-degree 0 and go last.
+        indegree = [0] * len(members)
+        succ0 = [[] for _ in members]
+        for u, v, _lat, d in comp_edges:
+            if not d:
+                succ0[u].append(v)
+                indegree[v] += 1
+        order = [u for u in range(len(members)) if not indegree[u]]
+        for u in order:
+            for v in succ0[u]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    order.append(v)
+        rank = [len(members)] * len(members)
+        for i, u in enumerate(order):
+            rank[u] = i
+        comp_edges.sort(key=lambda edge: rank[edge[0]])
+        components.append((len(members), comp_edges))
+    return components
+
+
+def _has_parent_cycle(parent):
+    """True if the Bellman-Ford parent pointers close a cycle."""
+    seen = [0] * len(parent)
+    for start in range(len(parent)):
+        v = start
+        while v >= 0 and not seen[v]:
+            seen[v] = start + 1
+            v = parent[v]
+        if v >= 0 and seen[v] == start + 1:
+            return True
+    return False
+
+
+def _has_positive_cycle(components, ii):
     """Bellman-Ford feasibility: True if some cycle has positive weight
-    under ``weight = latency - ii * distance`` (i.e. II is infeasible)."""
-    dist = [0.0] * num_positions
-    edge_list = [(pu, pv, lat - ii * d) for (pu, pv, d), lat in edges.items()
-                 if pu < num_positions and pv < num_positions]
-    for _ in range(num_positions):
-        changed = False
-        for pu, pv, w in edge_list:
-            t = dist[pu] + w
-            if t > dist[pv]:
-                dist[pv] = t
-                changed = True
-        if not changed:
-            return False
-    return True
+    under ``weight = latency - ii * distance`` (i.e. II is infeasible).
+
+    Runs per component of :func:`_recurrence_components`.  A pass that
+    changes nothing proves the component free of positive cycles, and one
+    still changing after ``size`` passes proves it holds one.  A cycle
+    among the parent pointers is a positive cycle too (every edge on it
+    was the last to raise its head, strictly, so the weights around it
+    sum above zero), which stops an infeasible II after a few passes.
+    """
+    for size, comp_edges in components:
+        weighted = [(u, v, lat - ii * d) for u, v, lat, d in comp_edges]
+        dist = [0] * size
+        parent = [-1] * size
+        for _ in range(size):
+            changed = False
+            for u, v, w in weighted:
+                t = dist[u] + w
+                if t > dist[v]:
+                    dist[v] = t
+                    parent[v] = u
+                    changed = True
+            if not changed:
+                break
+            if _has_parent_cycle(parent):
+                return True
+        else:
+            return True
+    return False
 
 
 def _rec_mii(num_positions, edges):
@@ -191,12 +312,13 @@ def _rec_mii(num_positions, edges):
     # Any simple cycle's mean is bounded by the total folded latency
     # (every cycle crosses >= 1 round), so binary search below that.
     hi = max(1, sum(edges.values()))
-    if not _has_positive_cycle(num_positions, edges, 1):
+    components = _recurrence_components(num_positions, edges)
+    if not _has_positive_cycle(components, 1):
         return 1
     lo = 1  # infeasible
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _has_positive_cycle(num_positions, edges, mid):
+        if _has_positive_cycle(components, mid):
             lo = mid
         else:
             hi = mid
@@ -206,20 +328,13 @@ def _rec_mii(num_positions, edges):
 def _res_mii(trace, assignment, caps, mem_slots_per_cycle):
     """Resource lower bound on the round cadence, in cycles."""
     rounds = assignment.round
-    lanes_of = assignment.lane
     node_ops = trace.node_op
-    per_round_lane_fu = {}
-    per_round_mem = {}
-    for node in range(trace.num_nodes):
-        r = rounds[node]
-        if r < 0:
-            continue
-        op = node_ops[node]
-        fu = OP_INFO[op].fu
-        key = (r, lanes_of[node], fu)
-        per_round_lane_fu[key] = per_round_lane_fu.get(key, 0) + 1
-        if is_memory(op):
-            per_round_mem[r] = per_round_mem.get(r, 0) + 1
+    fu_of = {op: OP_INFO[op].fu for op in set(node_ops)}
+    per_round_lane_fu = Counter(
+        (r, lane, fu_of[op])
+        for r, lane, op in zip(rounds, assignment.lane, node_ops) if r >= 0)
+    per_round_mem = Counter(r for r, op in zip(rounds, node_ops)
+                            if r >= 0 and op in MEMORY_OPS)
     res = 1
     for (_r, _lane, fu), count in per_round_lane_fu.items():
         need = -(-count // max(caps[fu], 1))

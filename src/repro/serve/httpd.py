@@ -22,8 +22,10 @@ Endpoints (all bodies JSON):
   "fidelity": ...}`` → evaluate (hit/join/dispatch) and return the
   result records plus the provenance report.
 
-Malformed bodies, unknown design fields and unknown workloads are 400s
-with a JSON ``{"error": ...}`` body; simulation failures of individual
+Malformed bodies (a negative or non-integer ``Content-Length`` too),
+unknown design fields and unknown workloads are 400s with a JSON
+``{"error": ...}`` body; a body longer than :data:`MAX_BODY_BYTES` is a
+413, refused before any of it is read; simulation failures of individual
 points are *not* errors — they come back as failure records inside a
 200 response (the service collects them).
 """
@@ -41,6 +43,15 @@ from repro.workloads.registry import workload_names, workload_source
 #: longer appears in the instance dict, but the constructor still
 #: accepts it — keep accepting it from clients too.
 DESIGN_FIELDS = frozenset(DesignPoint().__dict__) | {"loop_pipelining"}
+
+#: Largest request body accepted, in bytes.  A full enriched design grid
+#: or a kernel source is well under this; anything longer is refused
+#: before it is read.
+MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+class _BodyTooLarge(Exception):
+    """The request's ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`."""
 
 
 def design_from_json(doc):
@@ -80,7 +91,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, {"error": message})
 
     def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            raise ValueError(
+                f"Content-Length must be an integer, got {header!r}") \
+                from None
+        if length < 0:
+            raise ValueError(f"Content-Length must be >= 0, got {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -162,6 +185,9 @@ class _Handler(BaseHTTPRequestHandler):
                         records.append(self.service._record(result))
                 response = {"workload": workload, "results": records,
                             "service": report}
+        except _BodyTooLarge as exc:
+            self._error(413, str(exc))
+            return
         except (ValueError, KeyError, TypeError, CalibrationError,
                 FrontendError, WorkloadError) as exc:
             self._error(400, str(exc))

@@ -4,7 +4,8 @@ import pytest
 
 from repro.aladdin.accelerator import Accelerator
 from repro.aladdin.ddg import DDDG
-from repro.aladdin.modulo import _has_positive_cycle, _rec_mii, plan_ii
+from repro.aladdin.modulo import (
+    _has_positive_cycle, _rec_mii, _recurrence_components, plan_ii)
 from repro.aladdin.trace import TraceBuilder
 from repro.aladdin.transforms import assign_lanes
 from repro.core.config import DesignPoint
@@ -33,9 +34,10 @@ class TestRecMII:
         assert _rec_mii(2, {(0, 1, 0): 4, (1, 0, 2): 4}) == 4
 
     def test_positive_cycle_detection(self):
-        edges = {(0, 1, 0): 3, (1, 0, 1): 3}
-        assert _has_positive_cycle(2, edges, 5)
-        assert not _has_positive_cycle(2, edges, 6)
+        components = _recurrence_components(
+            2, {(0, 1, 0): 3, (1, 0, 1): 3})
+        assert _has_positive_cycle(components, 5)
+        assert not _has_positive_cycle(components, 6)
 
     def test_accumulator_trace(self):
         # 8 iterations on 4 lanes: each round chains 4 fadds (latency 3)
@@ -204,11 +206,15 @@ class TestIsolatedModulo:
 
     def test_completes_on_real_workloads(self):
         from repro.workloads import cached_trace
-        for name in ("aes-aes", "gemm-ncubed"):
-            trace = cached_trace(name)
-            res = Accelerator(trace, 4, 4,
-                              pipelining="modulo").run_isolated()
-            assert res.cycles > 0
+        # RecMII sets the II of backprop, bfs-queue and sort-radix at 4
+        # lanes.
+        for name in ("aes-aes", "gemm-ncubed", "backprop", "bfs-queue",
+                     "sort-radix"):
+            accel = Accelerator(cached_trace(name), 4, 4,
+                                pipelining="modulo")
+            res = accel.run_isolated()
+            assert res.cycles > 0, name
+            assert accel.ii_plan.ii >= accel.ii_plan.rec_mii, name
 
 
 class TestInSoC:

@@ -1,5 +1,6 @@
 """The HTTP face: endpoints, error mapping, client, serve() lifecycle."""
 
+import http.client
 import json
 import os
 import textwrap
@@ -13,7 +14,8 @@ from repro.core.export import results_to_json
 from repro.core.sweep import dma_design_space, run_sweep
 from repro.serve import SweepService
 from repro.serve.client import ServiceClient, ServiceError
-from repro.serve.httpd import design_from_json, make_server, serve
+from repro.serve.httpd import (
+    MAX_BODY_BYTES, design_from_json, make_server, serve)
 
 WORKLOAD = "aes-aes"
 
@@ -149,6 +151,40 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=30)
         assert info.value.code == 400
+
+    @staticmethod
+    def _post_with_length(client, length):
+        """POST /query announcing ``length`` body bytes but sending none;
+        returns ``(status, error message)``."""
+        host, port = client.base_url.split("//", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())["error"]
+        finally:
+            conn.close()
+
+    def test_oversized_body_is_413_before_reading(self, endpoint):
+        # No body follows the header: a server that tried to read the
+        # announced bytes would block until the client timed out.
+        client, service = endpoint
+        status, error = self._post_with_length(client,
+                                               str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in error
+        assert service.metrics.snapshot()["requests"] == 0
+
+    @pytest.mark.parametrize("length", ["-1", "12abc", "1.5"])
+    def test_bad_content_length_is_400(self, endpoint, length):
+        client, service = endpoint
+        status, error = self._post_with_length(client, length)
+        assert status == 400
+        assert "Content-Length" in error
+        assert service.metrics.snapshot()["requests"] == 0
 
     def test_unknown_get_endpoint_is_404(self, endpoint):
         client, _service = endpoint
