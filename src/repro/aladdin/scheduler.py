@@ -33,7 +33,7 @@ class DatapathScheduler:
 
     def __init__(self, sim, clock, ddg, assignment, mem_if,
                  fu_per_lane=None, on_done=None, name="accel",
-                 round_barriers=True, pipelining=None, ii=0,
+                 pipelining="barriers", ii=0,
                  rec_mii=0, res_mii=0):
         self.sim = sim
         self.clock = clock
@@ -55,11 +55,7 @@ class DatapathScheduler:
         #                case: an II at or above the dynamic round duration
         #                reproduces barrier timing instead of throttling
         #                below it, so the gate can only add overlap.
-        # ``round_barriers`` remains as the legacy boolean spelling of the
-        # first two and is honored when ``pipelining`` is not given.
-        if pipelining is None:
-            pipelining = "barriers" if round_barriers else "off"
-        elif pipelining not in ("off", "barriers", "modulo"):
+        if pipelining not in ("off", "barriers", "modulo"):
             raise SimulationError(
                 f"{name}: unknown pipelining mode {pipelining!r}")
         self.pipelining = pipelining
@@ -185,8 +181,8 @@ class DatapathScheduler:
         if self.ddg.num_nodes == 0:
             self._finish()
             return
-        # Bulk _make_ready: traces with thousands of root loads make this
-        # loop worth binding (identical per-node behavior).
+        # Release the roots, parking those of later rounds: traces with
+        # thousands of root loads make this loop worth binding.
         node_round = self._node_round
         node_lane = self._node_lane
         node_fu = self._node_fu
@@ -231,14 +227,6 @@ class DatapathScheduler:
 
     # -- readiness ------------------------------------------------------------
 
-    def _make_ready(self, node):
-        r = self._node_round[node]
-        if (self.round_barriers or self._ii_gated) \
-                and r > self._current_round:
-            self._round_parked.setdefault(r, []).append(node)
-            return
-        self._enqueue_ready(node)
-
     def _enqueue_ready(self, node):
         self._ready[self._node_lane[node]].append(node)
         self._ready_counts[self._node_lane[node]][self._node_fu[node]] += 1
@@ -264,20 +252,10 @@ class DatapathScheduler:
 
     # -- the per-cycle issue pass ----------------------------------------------
 
-    def _cycle_state(self):
-        cycle = self._queue.now // self._period
-        if cycle != self._state_cycle:
-            self._state_cycle = cycle
-            zero = self._fu_zero
-            for used in self._fu_used:
-                used[:] = zero
-            self.mem_if.new_cycle(cycle)
-        return cycle
-
     def _issue_pass(self):
         now = self._queue.now
         self._scheduled_passes.discard(now)
-        # _cycle_state inlined: reset per-cycle FU budgets on a new cycle.
+        # Reset the per-cycle FU budgets on a new cycle.
         cycle = now // self._period
         if cycle != self._state_cycle:
             self._state_cycle = cycle
@@ -587,9 +565,10 @@ class DatapathScheduler:
     def complete_node(self, node):
         """A node's result is available (called by FUs and the memory system).
 
-        Runs once per node, so ``_make_ready``/``_enqueue_ready``/``_kick``
-        are inlined here — the method versions remain for the cold paths
-        (start, parked-node resume, round advancement).
+        Runs once per node, so releasing (or round-parking) successors,
+        ``_enqueue_ready`` and ``_kick`` are inlined here — the method
+        versions remain for the cold paths (start, parked-node resume,
+        round advancement).
         """
         in_flight = self._in_flight - 1
         self._in_flight = in_flight

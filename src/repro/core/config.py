@@ -35,11 +35,10 @@ class DesignPoint:
 
     def __init__(self, lanes=4, partitions=4, mem_interface="dma",
                  pipelined_dma=True, dma_triggered_compute=True,
-                 double_buffer=False, loop_pipelining=False,
-                 cache_size_kb=8, cache_line=64,
+                 double_buffer=False, cache_size_kb=8, cache_line=64,
                  cache_ports=2, cache_assoc=4, prefetcher="stride",
                  spad_ports=1, perfect_memory=False,
-                 pipelining=None, ii="auto"):
+                 pipelining="barriers", ii="auto"):
         self.lanes = lanes
         self.partitions = partitions
         self.mem_interface = mem_interface
@@ -56,11 +55,6 @@ class DesignPoint:
         #                interval (see repro.aladdin.modulo); ``ii`` is
         #                "auto" (search for the minimal feasible II) or a
         #                forced cycle count.
-        # ``loop_pipelining`` is the legacy boolean spelling (True ->
-        # "off"); it is honored when ``pipelining`` is not given and
-        # remains readable as a property.
-        if pipelining is None:
-            pipelining = "off" if loop_pipelining else "barriers"
         self.pipelining = pipelining
         # ``ii`` only means something under modulo; canonicalize it away
         # otherwise so design keys/caches never split on a dead knob.
@@ -105,12 +99,6 @@ class DesignPoint:
     def is_dma(self):
         return self.mem_interface == "dma"
 
-    @property
-    def loop_pipelining(self):
-        """Legacy boolean view of the pipelining mode (True = free
-        overlap, what ``pipelining="off"`` now spells)."""
-        return self.pipelining == "off"
-
     def replace(self, **kwargs):
         """A copy with some fields changed."""
         fields = dict(
@@ -125,22 +113,19 @@ class DesignPoint:
             prefetcher=self.prefetcher, spad_ports=self.spad_ports,
             perfect_memory=self.perfect_memory,
         )
-        if "loop_pipelining" in kwargs and "pipelining" not in kwargs:
-            # Legacy spelling: let the constructor re-derive the mode
-            # from the boolean instead of the copied field shadowing it.
-            fields["pipelining"] = None
         fields.update(kwargs)
         return DesignPoint(**fields)
 
     def _pipelining_key(self):
         """The pipelining element of :meth:`key`.
 
-        Off/barriers keep the legacy boolean so existing keys stay
-        stable; modulo designs get a distinct ``("modulo", ii)`` marker.
+        Off/barriers keep the boolean "rounds overlap freely" so keys
+        persisted in references and calibrations stay stable; modulo
+        designs get a distinct ``("modulo", ii)`` marker.
         """
         if self.pipelining == "modulo":
             return ("modulo", self.ii)
-        return self.loop_pipelining
+        return self.pipelining == "off"
 
     def key(self):
         """Hashable identity (used by sweeps and caches)."""

@@ -1,20 +1,24 @@
-"""Pluggable sweep executors: where design-point evaluations actually run.
+"""Sweep executors: where design-point evaluations run.
 
-:func:`repro.core.sweeppool.run_sweep_pool` owns the *bookkeeping* of a
-sweep — cache probes, manifests, metrics, retry accounting — but the
-question of *where* each pending point executes is delegated to an
-:class:`Executor`:
+:func:`repro.core.sweeppool.run_sweep_pool` is the only way a design
+point runs.  It owns the *bookkeeping* of a sweep — cache probes,
+manifests, metrics, retry accounting — and delegates *where* each
+pending point executes to an :class:`Executor`:
 
 * :class:`InlineExecutor` — serial, in-process.  The reference engine:
-  every other executor must be bit-identical to it.
-* :class:`LocalPoolExecutor` — worker processes on this machine.  Wraps
-  both the fast ``multiprocessing.Pool`` path (fault-intolerant, lowest
-  overhead) and the robust pipe-per-worker pool (retries, per-point
-  timeouts, dead-worker recovery) and picks per plan.
-* :class:`RemoteExecutor` — the seam for distributing points across
-  machines.  Transport-agnostic: anything that can turn ``(workload,
-  design, cfg)`` into a ``RunResult`` — an RPC stub, an HTTP client
-  around another host's ``repro serve`` — plugs in as a callable.
+  every other executor must be bit-identical to it.  ``evaluate=``
+  swaps the per-point task runner (default
+  ``sweeppool._evaluate_task``); profiled, stats-dumping and checked
+  sweeps pass one that reports into the caller's accumulators.
+* :class:`LocalPoolExecutor` — worker processes on this machine, one
+  private pipe each (:func:`repro.core.sweeppool._run_robust_pool`):
+  per-point timeouts, retries, and a dead worker settles its point as
+  a ``worker-lost`` failure instead of hanging the sweep.
+* :class:`RemoteExecutor` — an inline executor that ships every point
+  through a ``transport(workload, design, cfg) -> RunResult`` callable.
+  perfbench's traced mode uses it to run each point through its own
+  layer timers; an RPC stub or a client of another host's
+  ``repro serve`` plugs in the same way.
 
 Executors are deliberately dumb: they receive an :class:`ExecutionPlan`
 (the pending ``(index, attempt)`` pairs plus the ``finish``/``fail``
@@ -45,20 +49,15 @@ class ExecutionPlan:
     (they update results/cache/manifest/metrics and raise under
     ``on_error="raise"``).  ``robust`` selects capture-and-retry
     semantics; without it the first evaluation error propagates raw.
-
-    ``evaluate`` optionally overrides the task runner for in-process
-    executors (signature of ``sweeppool._evaluate_task``); process-pool
-    executors reject it because a closure cannot cross a spawn boundary.
     """
 
     __slots__ = ("workload", "designs", "cfg", "pending", "faults",
                  "retries", "retry_backoff", "timeout", "robust",
-                 "metrics", "finish", "fail", "evaluate")
+                 "metrics", "finish", "fail")
 
     def __init__(self, workload, designs, cfg=None, pending=None,
                  faults=None, retries=0, retry_backoff=0.0, timeout=None,
-                 robust=False, metrics=None, finish=None, fail=None,
-                 evaluate=None):
+                 robust=False, metrics=None, finish=None, fail=None):
         if metrics is None:
             from repro.core.sweeppool import SweepMetrics
             metrics = SweepMetrics()
@@ -75,7 +74,6 @@ class ExecutionPlan:
         self.metrics = metrics
         self.finish = finish if finish is not None else lambda *a: None
         self.fail = fail if fail is not None else lambda *a: None
-        self.evaluate = evaluate
 
     def task(self, index, attempt):
         """The picklable task tuple for one pending point."""
@@ -139,12 +137,18 @@ def _run_serial(plan, evaluate):
 class InlineExecutor(Executor):
     """Serial in-process evaluation — the reference engine.
 
-    Honours ``retries``/``on_error`` but cannot enforce a per-point
-    wall-clock ``timeout`` (there is no worker process to kill); a robust
-    plan that asks for one gets a RuntimeWarning and runs unbounded.
+    ``evaluate(task) -> (index, result, elapsed)`` replaces the per-point
+    task runner (default :func:`repro.core.sweeppool._evaluate_task`,
+    whose task tuple is :meth:`ExecutionPlan.task`).  Honours
+    ``retries``/``on_error`` but cannot enforce a per-point wall-clock
+    ``timeout`` (there is no worker process to kill); a robust plan that
+    asks for one gets a RuntimeWarning and runs unbounded.
     """
 
     kind = "inline"
+
+    def __init__(self, evaluate=None):
+        self.evaluate = evaluate
 
     def execute(self, plan):
         from repro.core import sweeppool
@@ -153,17 +157,18 @@ class InlineExecutor(Executor):
                 "per-point sweep timeout needs worker processes; "
                 "evaluating inline without timeout enforcement",
                 RuntimeWarning, stacklevel=2)
-        return _run_serial(plan, plan.evaluate or sweeppool._evaluate_task)
+        return _run_serial(plan, self.evaluate or sweeppool._evaluate_task)
 
 
 class LocalPoolExecutor(Executor):
-    """Worker processes on this machine (today's pool, behind the seam).
+    """Worker processes on this machine, one private pipe each.
 
-    A non-robust plan runs on a plain ``multiprocessing.Pool`` (lowest
-    overhead, first failure propagates); a robust plan runs on the
-    pipe-per-worker pool that survives crashed/hung/OOM-killed workers
-    (see :func:`repro.core.sweeppool._run_robust_pool`).  ``jobs=None``
-    or ``0`` means one worker per CPU.
+    Every plan runs on :func:`repro.core.sweeppool._run_robust_pool`,
+    which survives crashed, hung and OOM-killed workers: a dead worker
+    settles its point as ``kind="worker-lost"``, never a hang.  Under a
+    non-robust plan a point that raises re-raises its own exception, as
+    :class:`InlineExecutor` does.  ``jobs=None`` or ``0`` means one
+    worker per CPU.
     """
 
     kind = "local-pool"
@@ -185,55 +190,40 @@ class LocalPoolExecutor(Executor):
         from multiprocessing import get_context
 
         from repro.core import sweeppool
-        if plan.evaluate is not None:
-            raise ValueError(
-                "LocalPoolExecutor evaluates through the module-level "
-                "task runner; a custom evaluate callable cannot cross "
-                "the process boundary — use InlineExecutor")
         if not plan.pending:
             return []
-        ctx = get_context(self.mp_context)
-        if not plan.robust:
-            tasks = [plan.task(index, attempt)
-                     for index, attempt in plan.pending]
-            with ctx.Pool(processes=min(self.jobs, len(tasks))) as pool:
-                for index, result, elapsed in pool.imap(
-                        sweeppool._evaluate_task, tasks):
-                    plan.finish(index, result, elapsed)
-            return []
         return sweeppool._run_robust_pool(
-            ctx=ctx, nworkers=min(self.jobs, len(plan.pending)),
-            pending=plan.pending, workload=plan.workload,
-            designs=plan.designs, cfg=plan.cfg, faults=plan.faults,
-            retries=plan.retries, retry_backoff=plan.retry_backoff,
-            timeout=plan.timeout, metrics=plan.metrics,
-            finish=plan.finish, fail=plan.fail)
+            get_context(self.mp_context),
+            min(self.jobs, len(plan.pending)), plan)
 
 
-class RemoteExecutor(Executor):
-    """Hook for fanning design points out across machines.
+class RemoteExecutor(InlineExecutor):
+    """An inline executor whose points go through ``transport``.
 
-    The executor contract is transport-agnostic, so "remote" reduces to
-    one callable: ``transport(workload, design, cfg) -> RunResult``.
-    Wire it to an RPC client, a batch queue, or
-    :meth:`repro.serve.client.ServiceClient.evaluate` pointed at another
-    host's ``repro serve`` — every pending point is shipped through it
-    with the plan's retry/capture semantics (``kind="error"`` failures;
-    remote wall-clock timeouts are the transport's job).  Without a
-    transport the executor refuses to run, loudly: this class is the
-    documented seam, not a silent no-op.
+    ``transport(workload, design, cfg) -> RunResult`` is any callable:
+    perfbench's traced runner, an RPC client, or an HTTP client around
+    another host's ``repro serve`` (see :mod:`repro.serve.client`).
+    Every pending point is shipped through it with the plan's
+    retry/capture semantics (``kind="error"`` failures; remote
+    wall-clock timeouts are the transport's job).  Without a transport
+    the executor refuses to run, loudly, rather than doing nothing.
     """
 
     kind = "remote"
 
     def __init__(self, transport=None, label="remote"):
+        super().__init__(evaluate=self._ship)
         self.transport = transport
         self.label = label
 
-    def effective_jobs(self, npending):
-        # One in-flight request at a time from this process; the far end
-        # may fan out further, but that parallelism is not observable here.
-        return 1
+    def _ship(self, task):
+        from repro.core import sweeppool
+        index, workload, design, cfg, attempt, faults = task
+        if faults:
+            sweeppool.inject_fault(faults, index, attempt)
+        start = time.perf_counter()
+        result = self.transport(workload, design, cfg)
+        return index, result, time.perf_counter() - start
 
     def execute(self, plan):
         if self.transport is None:
@@ -241,17 +231,7 @@ class RemoteExecutor(Executor):
                 "RemoteExecutor has no transport configured; pass "
                 "transport=callable(workload, design, cfg) -> RunResult "
                 "(e.g. an HTTP client around another host's 'repro serve')")
-        from repro.core import sweeppool
-
-        def evaluate(task):
-            index, workload, design, cfg, attempt, faults = task
-            if faults:
-                sweeppool.inject_fault(faults, index, attempt)
-            start = time.perf_counter()
-            result = self.transport(workload, design, cfg)
-            return index, result, time.perf_counter() - start
-
-        return _run_serial(plan, evaluate)
+        return _run_serial(plan, self.evaluate)
 
 
 def resolve_executor(jobs=None, mp_context="spawn", robust=False,

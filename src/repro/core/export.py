@@ -12,7 +12,7 @@ import json
 CSV_FIELDS = [
     "workload", "mem_interface", "lanes", "partitions", "cache_size_kb",
     "cache_line", "cache_ports", "cache_assoc", "pipelined_dma",
-    "dma_triggered_compute", "loop_pipelining", "pipelining", "ii",
+    "dma_triggered_compute", "pipelining", "ii",
     "time_us", "accel_cycles",
     "power_mw", "energy_pj", "edp_js", "area_mm2", "flush_only_frac",
     "dma_flush_frac", "compute_dma_frac", "compute_only_frac", "other_frac",
@@ -28,7 +28,6 @@ def design_record(design):
         "pipelined_dma": design.pipelined_dma,
         "dma_triggered_compute": design.dma_triggered_compute,
         "double_buffer": design.double_buffer,
-        "loop_pipelining": design.loop_pipelining,
         "pipelining": design.pipelining,
         "ii": design.ii,
         "cache_size_kb": design.cache_size_kb,

@@ -527,10 +527,6 @@ class SoC:
                          self.accel_clock.ticks_to_cycles(total),
                          breakdown, energy, stats, area=area)
 
-    # Backwards-compatible alias used by older tests/examples.
-    def _result(self):
-        return self.collect()
-
     # -- observability ---------------------------------------------------------
 
     def reg_stats(self, stats):

@@ -15,6 +15,7 @@ Sweeps can run in parallel and/or memoized on disk — pass ``parallel=`` /
 
 import json
 import os
+import time
 
 from repro.core.config import DesignPoint, PARAMETER_TABLE
 from repro.core.soc import run_design
@@ -119,16 +120,18 @@ def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
     per-component event costs over every design point.  ``dump_stats``
     names a directory that receives one full stats-registry JSON per
     design point (``<workload>-NNNN.json``; see :mod:`repro.obs.stats`).
-    Either option forces the serial, uncached engine: worker processes
-    could not report into the caller's profiler or registry, and cached
-    points run no events at all.  The serial engine still fills
-    ``metrics`` and honours ``on_error``/``retries`` (not ``timeout``).
+    Either option runs inline and uncached, through an
+    :class:`~repro.core.executors.InlineExecutor` whose evaluator reports
+    into the caller's profiler and registries: worker processes could
+    not, and cached points run no events at all.  Such a sweep still
+    fills ``metrics`` and honours ``on_error``/``retries``; a ``timeout``
+    warns and runs unbounded.
 
     ``check`` enables runtime correctness checking per point (see
-    :mod:`repro.check`).  An explicit checker likewise forces the serial
-    engine — its accumulated counters live in this process.  ``None``
-    defers to ``$REPRO_CHECK``, which worker processes inherit, so the
-    parallel engine still checks every point when the variable is set.
+    :mod:`repro.check`).  An explicit checker likewise runs inline — its
+    accumulated counters live in this process.  ``None`` defers to
+    ``$REPRO_CHECK``, which worker processes inherit, so the parallel
+    engine still checks every point when the variable is set.
 
     ``fidelity`` selects the simulation tier (see
     :mod:`repro.core.calibrate`): ``"exact"`` (default) is the
@@ -145,7 +148,7 @@ def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
     :class:`repro.core.executors.Executor`); sweeps route through the
     executor interface by default (see
     :func:`repro.core.executors.resolve_executor`), except the
-    profiled / stats-dumping / checked paths, which must stay in this
+    profiled / stats-dumping / checked paths, which run inline in this
     process and therefore reject an explicit executor.
     ``write_manifest=False`` skips the per-sweep checkpoint manifest
     (results still flush through the cache; see
@@ -176,99 +179,46 @@ def run_sweep(workload, designs, cfg=None, progress=None, parallel=None,
                                 timeout=timeout, resume=resume, fault=fault,
                                 executor=executor,
                                 write_manifest=write_manifest)
-    if not diagnostic:
-        from repro.core.sweeppool import run_sweep_pool
-        return run_sweep_pool(workload, designs, cfg,
-                              jobs=1 if parallel is None else parallel,
-                              cache_dir=cache_dir, progress=progress,
-                              metrics=metrics, on_error=on_error,
-                              retries=retries, retry_backoff=retry_backoff,
-                              timeout=timeout, resume=resume, fault=fault,
-                              executor=executor,
-                              write_manifest=write_manifest)
-    return _run_sweep_serial(workload, designs, cfg, progress=progress,
-                             metrics=metrics, profiler=profiler,
-                             dump_stats=dump_stats, check=check,
-                             on_error=on_error, retries=retries,
-                             retry_backoff=retry_backoff, fault=fault)
+    from repro.core.sweeppool import run_sweep_pool
+    if diagnostic:
+        from repro.core.executors import InlineExecutor
+        executor = InlineExecutor(
+            evaluate=_diagnostic_evaluator(profiler, dump_stats, check))
+        cache_dir, resume = None, False
+    return run_sweep_pool(workload, designs, cfg,
+                          jobs=1 if parallel is None else parallel,
+                          cache_dir=cache_dir, progress=progress,
+                          metrics=metrics, on_error=on_error,
+                          retries=retries, retry_backoff=retry_backoff,
+                          timeout=timeout, resume=resume, fault=fault,
+                          executor=executor, write_manifest=write_manifest)
 
 
-def _run_sweep_serial(workload, designs, cfg=None, progress=None,
-                      metrics=None, profiler=None, dump_stats=None,
-                      check=None, on_error="raise", retries=0,
-                      retry_backoff=0.0, fault=None):
-    """The in-process engine behind profiled / stats-dumping / checked
-    sweeps: one ``run_design`` per point, with the same metrics filling
-    and fault capture as the pooled engine (minus timeout enforcement)."""
-    import time
-
-    from repro.core.sweeppool import (
-        ENV_FAULT,
-        FailedPoint,
-        SweepMetrics,
-        inject_fault,
-        parse_fault_spec,
-    )
-    from repro.errors import SweepError
-    robust = on_error == "collect" or retries > 0
-    faults = parse_fault_spec(
-        fault if fault is not None else os.environ.get(ENV_FAULT, ""))
-    metrics = metrics if metrics is not None else SweepMetrics()
-    metrics.points += len(designs)
-    metrics.jobs = max(metrics.jobs, 1)
-    sweep_start = time.perf_counter()
+def _diagnostic_evaluator(profiler, dump_stats, check):
+    """The in-process task runner of profiled / stats-dumping / checked
+    sweeps: :func:`repro.core.sweeppool._evaluate_task` plus the caller's
+    profiler and checker, and one stats JSON per successful point."""
+    from repro.core.sweeppool import inject_fault
+    from repro.obs.stats import StatRegistry
     if dump_stats is not None:
         os.makedirs(dump_stats, exist_ok=True)
-    results = []
-    try:
-        for i, design in enumerate(designs):
-            registry = None
-            if dump_stats is not None:
-                from repro.obs.stats import StatRegistry
-                registry = StatRegistry()
-            attempt = 1
-            while True:
-                start = time.perf_counter()
-                try:
-                    if faults:
-                        inject_fault(faults, i, attempt)
-                    result = run_design(workload, design, cfg,
-                                        profiler=profiler,
-                                        registry=registry, check=check)
-                except Exception as exc:
-                    if not robust:
-                        raise
-                    if attempt <= retries:
-                        metrics.retries += 1
-                        if retry_backoff > 0.0:
-                            time.sleep(retry_backoff * attempt)
-                        attempt += 1
-                        continue
-                    metrics.failures += 1
-                    import traceback as _traceback
-                    failure = FailedPoint(workload, design, repr(exc),
-                                          traceback=_traceback.format_exc(),
-                                          attempts=attempt)
-                    if on_error == "raise":
-                        raise SweepError(
-                            f"design point {i} ({design!r}) failed after "
-                            f"{attempt} attempt(s) [error]: {exc!r}",
-                            failure=failure) from exc
-                    results.append(failure)
-                    break
-                metrics.evaluated += 1
-                metrics.point_seconds.append(time.perf_counter() - start)
-                results.append(result)
-                break
-            if registry is not None:
-                path = os.path.join(dump_stats, f"{workload}-{i:04d}.json")
-                payload = registry.to_json()
-                payload["design"] = repr(design)
-                with open(path, "w") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            if progress is not None:
-                progress(i + 1, len(designs))
-    finally:
-        metrics.wall_seconds += time.perf_counter() - sweep_start
-    return results
+
+    def evaluate(task):
+        index, workload, design, cfg, attempt, faults = task
+        if faults:
+            inject_fault(faults, index, attempt)
+        registry = StatRegistry() if dump_stats is not None else None
+        start = time.perf_counter()
+        result = run_design(workload, design, cfg, profiler=profiler,
+                            registry=registry, check=check)
+        elapsed = time.perf_counter() - start
+        if registry is not None:
+            payload = registry.to_json()
+            payload["design"] = repr(design)
+            path = os.path.join(dump_stats, f"{workload}-{index:04d}.json")
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        return index, result, elapsed
+
+    return evaluate

@@ -74,7 +74,7 @@ from repro.errors import SweepError
 #: Bump when the simulator's timing/energy models change in ways that make
 #: previously cached RunResults stale.  v2: canonicalized key payloads
 #: (numeric normalization + interface-irrelevant field masking).
-#: v3: ``loop_pipelining`` replaced by the ``pipelining``/``ii`` fields.
+#: v3: the boolean loop-pipelining flag replaced by ``pipelining``/``ii``.
 CACHE_FORMAT_VERSION = 3
 
 #: Conventional cache location (the CLI default; gitignored).
@@ -724,13 +724,23 @@ def resolve_jobs(jobs):
     return jobs
 
 
+def _portable(exc):
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
 def _robust_worker_main(conn):
     """Robust-pool worker: one task per message over a private pipe.
 
     Replies ``("ok", index, result, elapsed)`` or ``("err", index,
-    error_repr, traceback_text)``; exits on ``None`` or a closed pipe.
-    Module-level and argument-picklable, so it is spawn-safe like
-    :func:`_evaluate_task`.
+    error_repr, traceback_text, exception)``, where ``exception`` is the
+    raised object itself, or ``None`` if it cannot cross the pipe; exits
+    on ``None`` or a closed pipe.  Module-level and argument-picklable,
+    so it is spawn-safe like :func:`_evaluate_task`.
     """
     while True:
         try:
@@ -744,13 +754,14 @@ def _robust_worker_main(conn):
             _idx, result, elapsed = _evaluate_task(task)
             msg = ("ok", index, result, elapsed)
         except Exception as exc:
-            msg = ("err", index, repr(exc), _traceback.format_exc())
+            msg = ("err", index, repr(exc), _traceback.format_exc(),
+                   _portable(exc))
         try:
             conn.send(msg)
         except Exception as exc:  # e.g. unpicklable result
             try:
                 conn.send(("err", index, repr(exc),
-                           _traceback.format_exc()))
+                           _traceback.format_exc(), None))
             except Exception:
                 return
 
@@ -983,24 +994,27 @@ def run_sweep_pool(workload, designs, cfg=None, jobs=1, cache_dir=None,
     return results
 
 
-def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
-                     retries, retry_backoff, timeout, metrics, finish, fail):
-    """Apply-async-style dispatch over private per-worker pipes.
+def _run_robust_pool(ctx, nworkers, plan):
+    """Apply-async-style dispatch of ``plan`` over private per-worker pipes.
 
     One in-flight task per worker, so a dead worker (crashed / OOM-killed
     process) identifies exactly the point it was evaluating: the worker is
     reaped and replaced, the point retried or failed with
     ``kind="worker-lost"``.  A per-point ``timeout`` kills the overdue
-    worker the same way (``kind="timeout"``).  ``pending`` is a list of
-    ``(index, first_attempt)`` pairs (the :class:`ExecutionPlan` format).
-    Returns the list of ``(index, attempt)`` pairs still outstanding if
-    the pool collapsed (repeated worker deaths with no completions, or no
-    spawnable workers) — the caller falls back to inline evaluation.
+    worker the same way (``kind="timeout"``).  Under a non-robust plan a
+    point that raises re-raises its own exception, as inline evaluation
+    does (a :class:`~repro.errors.SweepError` if the exception could not
+    be pickled).  Returns the list of ``(index, attempt)`` pairs still
+    outstanding if the pool collapsed (repeated worker deaths with no
+    completions, or no spawnable workers) — the caller falls back to
+    inline evaluation.
     """
     from multiprocessing.connection import wait as conn_wait
 
+    retries, retry_backoff = plan.retries, plan.retry_backoff
+    timeout, fail = plan.timeout, plan.fail
     # (index, attempt, not_before)
-    queue = deque((i, a, 0.0) for i, a in pending)
+    queue = deque((i, a, 0.0) for i, a in plan.pending)
     workers = []
     consecutive_losses = 0
 
@@ -1019,7 +1033,7 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
 
     def requeue_or_fail(index, attempt, kind, error, tb):
         if attempt <= retries:
-            metrics.retries += 1
+            plan.metrics.retries += 1
             not_before = (time.monotonic() + retry_backoff * attempt
                           if retry_backoff > 0.0 else 0.0)
             queue.append((index, attempt + 1, not_before))
@@ -1067,8 +1081,7 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
                     break
                 index, attempt, _nb = item
                 try:
-                    worker.conn.send((index, workload, designs[index], cfg,
-                                      attempt, faults))
+                    worker.conn.send(plan.task(index, attempt))
                 except (OSError, BrokenPipeError, ValueError):
                     queue.appendleft((index, attempt, 0.0))
                     consecutive_losses += 1
@@ -1115,9 +1128,11 @@ def _run_robust_pool(ctx, nworkers, pending, workload, designs, cfg, faults,
                 consecutive_losses = 0
                 if msg[0] == "ok":
                     _tag, idx, result, elapsed = msg
-                    finish(idx, result, elapsed)
+                    plan.finish(idx, result, elapsed)
                 else:
-                    _tag, idx, error, tb = msg
+                    _tag, idx, error, tb, exc = msg
+                    if exc is not None and not plan.robust:
+                        raise exc
                     requeue_or_fail(idx, attempt, "error", error, tb)
             # Enforce per-point deadlines on workers that stayed silent.
             now = time.monotonic()

@@ -38,11 +38,8 @@ from repro.errors import CalibrationError, FrontendError, WorkloadError
 from repro.workloads.registry import workload_names, workload_source
 
 #: The exact DesignPoint constructor surface, derived from the class so
-#: the whitelist can never drift from it.  ``loop_pipelining`` is a
-#: property now (legacy boolean spelling of ``pipelining``) so it no
-#: longer appears in the instance dict, but the constructor still
-#: accepts it — keep accepting it from clients too.
-DESIGN_FIELDS = frozenset(DesignPoint().__dict__) | {"loop_pipelining"}
+#: the whitelist can never drift from it.
+DESIGN_FIELDS = frozenset(DesignPoint().__dict__)
 
 #: Largest request body accepted, in bytes.  A full enriched design grid
 #: or a kernel source is well under this; anything longer is refused

@@ -114,7 +114,7 @@ class TestLanesAndRounds:
         # lane's mem slot is free after iteration 0's load), so the
         # second chain finishes one cycle behind the first: 7 cycles.
         assert cycles(self._two_iter_kernel(), 1, 1,
-                      round_barriers=False) == 7
+                      pipelining="off") == 7
 
     def test_serial_node_not_barriered(self):
         # A serial epilogue node depends only on data, not on rounds.

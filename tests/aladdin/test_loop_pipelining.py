@@ -1,4 +1,4 @@
-"""Loop pipelining (round barriers off)."""
+"""Loop pipelining (``pipelining="off"``: round barriers off)."""
 
 import pytest
 
@@ -14,7 +14,7 @@ class TestIsolated:
     def test_pipelining_never_slower(self):
         tb = make_linear_trace(64)
         barrier = Accelerator(tb, 4, 4).run_isolated()
-        piped = Accelerator(tb, 4, 4, round_barriers=False).run_isolated()
+        piped = Accelerator(tb, 4, 4, pipelining="off").run_isolated()
         assert piped.cycles <= barrier.cycles
 
     def test_pipelining_overlaps_rounds(self):
@@ -22,7 +22,7 @@ class TestIsolated:
         cycles; pipelined, consecutive rounds overlap in the lanes."""
         tb = make_linear_trace(64)
         barrier = Accelerator(tb, 4, 4).run_isolated()
-        piped = Accelerator(tb, 4, 4, round_barriers=False).run_isolated()
+        piped = Accelerator(tb, 4, 4, pipelining="off").run_isolated()
         assert barrier.cycles == 16 * 6
         assert piped.cycles < barrier.cycles * 0.6
 
@@ -32,7 +32,7 @@ class TestIsolated:
         from tests.conftest import make_serial_trace
         tb = make_serial_trace(16)
         barrier = Accelerator(tb, 4, 4).run_isolated()
-        piped = Accelerator(tb, 4, 4, round_barriers=False).run_isolated()
+        piped = Accelerator(tb, 4, 4, pipelining="off").run_isolated()
         chain = 16 * 3  # 16 fadds of latency 3
         assert piped.cycles >= chain
         assert piped.cycles <= barrier.cycles
@@ -41,24 +41,24 @@ class TestIsolated:
         for name in ("aes-aes", "nw-nw", "sort-radix"):
             trace = cached_trace(name)
             res = Accelerator(trace, 4, 4,
-                              round_barriers=False).run_isolated()
+                              pipelining="off").run_isolated()
             assert res.cycles > 0
 
 
 class TestInSoC:
     def test_design_flag_wired_through(self):
         base = DesignPoint(lanes=4, partitions=4)
-        piped = base.replace(loop_pipelining=True)
+        piped = base.replace(pipelining="off")
         r_base = run_design("gemm-ncubed", base)
         r_piped = run_design("gemm-ncubed", piped)
         assert r_piped.total_ticks <= r_base.total_ticks
 
     def test_key_distinguishes(self):
         assert DesignPoint().key() != \
-            DesignPoint(loop_pipelining=True).key()
+            DesignPoint(pipelining="off").key()
 
     def test_works_with_cache_interface(self):
         d = DesignPoint(lanes=4, mem_interface="cache",
-                        loop_pipelining=True)
+                        pipelining="off")
         r = run_design("spmv-crs", d)
         assert r.total_ticks > 0

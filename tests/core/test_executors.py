@@ -1,5 +1,8 @@
 """The pluggable executor seam behind the sweep engine."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -16,12 +19,20 @@ from repro.core.export import results_to_json
 from repro.core.soc import run_design
 from repro.core.sweep import dma_design_space, run_sweep
 from repro.core.sweeppool import SweepMetrics, run_sweep_pool
+from repro.errors import SweepError
 
 WORKLOAD = "aes-aes"
 
 
 def quick_designs(n=3):
     return dma_design_space("quick")[:n]
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its ``args`` on unpickling."""
+
+    def __init__(self, head, tail):
+        super().__init__(head + tail)
 
 
 def _collecting_plan(designs, **kwargs):
@@ -71,9 +82,8 @@ class TestInlineExecutor:
             calls.append(index)
             return index, f"result-{index}", 0.0
 
-        plan, finished, _failed = _collecting_plan(designs,
-                                                   evaluate=evaluate)
-        InlineExecutor().execute(plan)
+        plan, finished, _failed = _collecting_plan(designs)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert calls == [0, 1]
         assert finished == {0: "result-0", 1: "result-1"}
 
@@ -83,10 +93,9 @@ class TestInlineExecutor:
         def evaluate(task):
             raise RuntimeError("boom")
 
-        plan, _finished, failed = _collecting_plan(designs,
-                                                   evaluate=evaluate)
+        plan, _finished, failed = _collecting_plan(designs)
         with pytest.raises(RuntimeError, match="boom"):
-            InlineExecutor().execute(plan)
+            InlineExecutor(evaluate=evaluate).execute(plan)
         assert not failed
 
     def test_robust_error_goes_through_fail(self):
@@ -95,9 +104,8 @@ class TestInlineExecutor:
         def evaluate(task):
             raise RuntimeError("boom")
 
-        plan, _finished, failed = _collecting_plan(
-            designs, robust=True, evaluate=evaluate)
-        InlineExecutor().execute(plan)
+        plan, _finished, failed = _collecting_plan(designs, robust=True)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert failed[0][0] == "error"
         assert "boom" in failed[0][1]
 
@@ -113,9 +121,8 @@ class TestInlineExecutor:
 
         metrics = SweepMetrics()
         plan, finished, failed = _collecting_plan(
-            designs, robust=True, retries=2, metrics=metrics,
-            evaluate=evaluate)
-        InlineExecutor().execute(plan)
+            designs, robust=True, retries=2, metrics=metrics)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert attempts == [1, 2, 3]
         assert finished == {0: "ok"}
         assert not failed
@@ -137,10 +144,9 @@ class TestInlineExecutor:
             seen.append(task[4])
             return task[0], "ok", 0.0
 
-        plan, _finished, _failed = _collecting_plan(designs,
-                                                    evaluate=evaluate)
+        plan, _finished, _failed = _collecting_plan(designs)
         plan.pending = [(0, 5)]  # e.g. handed back by a collapsed pool
-        InlineExecutor().execute(plan)
+        InlineExecutor(evaluate=evaluate).execute(plan)
         assert seen == [5]
 
 
@@ -153,11 +159,44 @@ class TestLocalPoolExecutor:
         got = [finished[i] for i in range(len(designs))]
         assert results_to_json(got) == results_to_json(serial)
 
-    def test_rejects_custom_evaluate(self):
-        plan, _finished, _failed = _collecting_plan(
-            quick_designs(1), evaluate=lambda task: (0, None, 0.0))
-        with pytest.raises(ValueError, match="cannot cross"):
-            LocalPoolExecutor(jobs=2).execute(plan)
+    def test_fail_fast_reraises_the_point_exception(self):
+        # Same as inline fail-fast: the raising point's own exception.
+        with pytest.raises(RuntimeError, match="injected fault"):
+            run_sweep_pool(WORKLOAD, quick_designs(), jobs=2,
+                           mp_context="fork", fault="raise@1")
+
+    def test_fail_fast_unpicklable_exception_is_sweep_error(
+            self, monkeypatch):
+        import repro.core.sweeppool as sweeppool
+
+        def evaluate(task):
+            raise TwoArgError("no way", " home")
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(sweeppool, "_evaluate_task", evaluate)
+        with pytest.raises(SweepError, match="no way home") as excinfo:
+            run_sweep_pool(WORKLOAD, quick_designs(1), jobs=2,
+                           mp_context="fork")
+        assert excinfo.value.failure.kind == "error"
+
+    def test_fail_fast_dead_worker_is_worker_lost(self):
+        # A worker that dies under a fail-fast sweep once hung the sweep
+        # forever; run it in a child interpreter so a regression fails
+        # on the timeout instead of hanging the suite.
+        code = (
+            "from repro.core.sweep import dma_design_space\n"
+            "from repro.core.sweeppool import run_sweep_pool\n"
+            "from repro.errors import SweepError\n"
+            "try:\n"
+            "    run_sweep_pool('aes-aes', dma_design_space('quick')[:3],\n"
+            "                   jobs=2, mp_context='fork', fault='exit@0')\n"
+            "except SweepError as exc:\n"
+            "    print('kind=' + exc.failure.kind)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "kind=worker-lost"
 
     def test_effective_jobs_clamped_by_pending(self):
         pool = LocalPoolExecutor(jobs=8)
@@ -288,3 +327,44 @@ class TestSweepIntegration:
             results = run_sweep(WORKLOAD, quick_designs(2))
         assert len(results) == 2
         assert all(r.workload == WORKLOAD for r in results)
+
+
+class TestDiagnosticSweeps:
+    """Profiled, stats-dumping and checked sweeps run inline through the
+    same seam and match a plain sweep."""
+
+    def test_profiled_matches_plain(self):
+        from repro.sim.profiling import EventProfiler
+        profiler = EventProfiler()
+        plain = run_sweep(WORKLOAD, quick_designs())
+        profiled = run_sweep(WORKLOAD, quick_designs(), profiler=profiler)
+        assert results_to_json(profiled) == results_to_json(plain)
+        assert profiler.records
+
+    def test_dump_stats_matches_plain_one_file_per_design(self, tmp_path):
+        designs = quick_designs()
+        plain = run_sweep(WORKLOAD, designs)
+        dumped = run_sweep(WORKLOAD, designs, dump_stats=str(tmp_path))
+        assert results_to_json(dumped) == results_to_json(plain)
+        assert sorted(os.listdir(tmp_path)) == [
+            f"{WORKLOAD}-{i:04d}.json" for i in range(len(designs))]
+
+    def test_checked_matches_plain(self):
+        plain = run_sweep(WORKLOAD, quick_designs())
+        checked = run_sweep(WORKLOAD, quick_designs(), check=True)
+        assert results_to_json(checked) == results_to_json(plain)
+
+    def test_timeout_warns_unenforced(self):
+        from repro.sim.profiling import EventProfiler
+        with pytest.warns(RuntimeWarning, match="without timeout"):
+            results = run_sweep(WORKLOAD, quick_designs(1),
+                                profiler=EventProfiler(), timeout=60.0)
+        assert len(results) == 1
+
+    def test_runs_uncached(self, tmp_path):
+        from repro.sim.profiling import EventProfiler
+        metrics = SweepMetrics()
+        run_sweep(WORKLOAD, quick_designs(1), profiler=EventProfiler(),
+                  cache_dir=str(tmp_path), metrics=metrics)
+        assert metrics.evaluated == 1
+        assert os.listdir(tmp_path) == []

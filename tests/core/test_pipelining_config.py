@@ -1,10 +1,10 @@
 """Pipelining-mode plumbing through DesignPoint, sweeps, and services.
 
-The ``round_barriers`` boolean became a three-way ``pipelining`` mode
-plus an ``ii`` knob; everything here guards the seams of that migration:
-legacy spellings keep meaning what they meant, cache keys stay stable
-for non-modulo designs, and the new fields survive every layer that
-copies or serializes a design.
+The pipelining discipline is a three-way ``pipelining`` mode plus an
+``ii`` knob.  Everything here guards the seams of that field: the old
+boolean spellings are refused, cache keys stay stable for non-modulo
+designs, and the fields survive every layer that copies or serializes
+a design.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.core.calibrate import _combo_key, _norm_combo, design_class
 from repro.core.config import DesignPoint
 from repro.core.export import CSV_FIELDS, design_record
 from repro.core.sweep import ii_design_space
+from repro.core.sweeppool import sweep_key
 from repro.errors import ConfigError
 
 
@@ -21,17 +22,15 @@ class TestDesignPointFields:
         d = DesignPoint()
         assert d.pipelining == "barriers"
         assert d.ii == "auto"
-        assert d.loop_pipelining is False
 
-    def test_legacy_boolean_maps_to_modes(self):
-        assert DesignPoint(loop_pipelining=True).pipelining == "off"
-        assert DesignPoint(loop_pipelining=False).pipelining == "barriers"
+    def test_legacy_boolean_rejected(self):
+        with pytest.raises(TypeError, match="loop_pipelining"):
+            DesignPoint(loop_pipelining=True)
 
-    def test_loop_pipelining_is_a_property(self):
-        # Serialization layers iterate __dict__; the legacy boolean must
-        # not appear there (it would shadow the real mode on round-trip).
+    def test_no_legacy_boolean_attribute(self):
+        # Serialization layers iterate __dict__; only the mode is there.
         assert "loop_pipelining" not in DesignPoint().__dict__
-        assert DesignPoint(pipelining="off").loop_pipelining is True
+        assert not hasattr(DesignPoint(pipelining="off"), "loop_pipelining")
 
     def test_ii_canonicalized_for_non_modulo(self):
         # An II on a non-modulo design is meaningless: canonicalize so
@@ -51,11 +50,26 @@ class TestDesignPointFields:
 
 
 class TestKeyStability:
-    def test_legacy_and_new_spellings_share_a_key(self):
-        assert DesignPoint(loop_pipelining=True).key() == \
-            DesignPoint(pipelining="off").key()
-        assert DesignPoint(loop_pipelining=False).key() == \
-            DesignPoint(pipelining="barriers").key()
+    # Literal keys: perfbench/reference.json and persisted calibrations
+    # are keyed on these tuples, so they must never move.
+    def test_pinned_keys(self):
+        assert DesignPoint().key() == \
+            ("dma", 4, 4, True, True, False, False, 1)
+        assert DesignPoint(pipelining="barriers").key() == \
+            DesignPoint().key()
+        assert DesignPoint(pipelining="off").key() == \
+            ("dma", 4, 4, True, True, False, True, 1)
+        assert DesignPoint(pipelining="modulo", ii=4).key() == \
+            ("dma", 4, 4, True, True, False, ("modulo", 4), 1)
+        assert DesignPoint(mem_interface="cache").key() == \
+            ("cache", 4, 4, 8, 64, 2, 4, "stride", False, False)
+
+    def test_pinned_sweep_key(self):
+        # A result stored under this digest must still hit.
+        assert sweep_key("aes-aes", DesignPoint()) == (
+            "da5e31252d65aecc6bb1fe671591d96bd646b43c117cd40119c2b7a51e5eb941")
+        assert sweep_key("aes-aes", DesignPoint(pipelining="off")) == (
+            "0f45fabff8187c55f9d524e2f7fef760cfbe93b2b1d794c98e9f8d5b2d6e4f1d")
 
     def test_modulo_key_embeds_ii(self):
         auto = DesignPoint(pipelining="modulo").key()
@@ -73,11 +87,15 @@ class TestKeyStability:
 
 
 class TestReplace:
-    def test_replace_legacy_boolean(self):
+    def test_replace_to_off_drops_ii(self):
         d = DesignPoint(pipelining="modulo", ii=2)
-        back = d.replace(loop_pipelining=True)
+        back = d.replace(pipelining="off")
         assert back.pipelining == "off"
         assert back.ii == "auto"
+
+    def test_replace_legacy_boolean_rejected(self):
+        with pytest.raises(TypeError, match="loop_pipelining"):
+            DesignPoint().replace(loop_pipelining=True)
 
     def test_replace_unrelated_field_keeps_mode(self):
         d = DesignPoint(pipelining="modulo", ii=2)
@@ -119,7 +137,8 @@ class TestExportFields:
         rec = design_record(DesignPoint(pipelining="modulo", ii=4))
         assert rec["pipelining"] == "modulo"
         assert rec["ii"] == 4
-        assert rec["loop_pipelining"] is False
+        assert "loop_pipelining" not in rec
+        assert "loop_pipelining" not in CSV_FIELDS
 
 
 class TestCalibrationClasses:
@@ -146,10 +165,10 @@ class TestCalibrationClasses:
 
 
 class TestServeAndCli:
-    def test_httpd_accepts_both_spellings(self):
+    def test_httpd_rejects_legacy_spelling(self):
         from repro.serve.httpd import design_from_json
-        legacy = design_from_json({"lanes": 2, "loop_pipelining": True})
-        assert legacy.pipelining == "off"
+        with pytest.raises(ValueError, match="loop_pipelining"):
+            design_from_json({"lanes": 2, "loop_pipelining": True})
         modern = design_from_json(
             {"lanes": 2, "pipelining": "modulo", "ii": 4})
         assert (modern.pipelining, modern.ii) == ("modulo", 4)

@@ -317,7 +317,7 @@ class TestFaultFreeParity:
 
 
 class TestSerialEngineRobustness:
-    """The profiler/stats/check-forced serial engine shares the layer."""
+    """Profiled/stats/checked sweeps run inline through the same layer."""
 
     def test_serial_path_fills_metrics(self):
         from repro.sim.profiling import EventProfiler
