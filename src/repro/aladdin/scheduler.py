@@ -71,6 +71,8 @@ class DatapathScheduler:
                           and assignment.num_rounds > 1)
         self._ii_ticks = clock.cycles_to_ticks(self.ii) if self._ii_gated \
             else 0
+        # Whether a node of a later round parks until its round opens.
+        self._gated = self.round_barriers or self._ii_gated
         # First-issue tick per round (modulo mode): the anchor for the
         # round r+1 gate at first_issue[r] + II.
         self._round_started = ([False] * assignment.num_rounds
@@ -161,9 +163,7 @@ class DatapathScheduler:
         # the same edge, which used to waste an event and an empty pass.
         self._scheduled_passes = set()
         # Let the memory interface precompute its own per-node tables.
-        bind = getattr(mem_if, "bind", None)
-        if bind is not None:
-            bind(self)
+        mem_if.bind(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -181,30 +181,8 @@ class DatapathScheduler:
         if self.ddg.num_nodes == 0:
             self._finish()
             return
-        # Release the roots, parking those of later rounds: traces with
-        # thousands of root loads make this loop worth binding.
-        node_round = self._node_round
-        node_lane = self._node_lane
-        node_fu = self._node_fu
-        ready = self._ready
-        ready_counts = self._ready_counts
-        gated = self.round_barriers or self._ii_gated
-        current_round = self._current_round
-        parked = self._round_parked
-        num_ready = self._num_ready
         for node in self.ddg.roots:
-            r = node_round[node]
-            if gated and r > current_round:
-                if r in parked:
-                    parked[r].append(node)
-                else:
-                    parked[r] = [node]
-            else:
-                lane = node_lane[node]
-                ready[lane].append(node)
-                ready_counts[lane][node_fu[node]] += 1
-                num_ready += 1
-        self._num_ready = num_ready
+            self._release(node)
         self._kick()
 
     def _finish(self):
@@ -231,6 +209,23 @@ class DatapathScheduler:
         self._ready[self._node_lane[node]].append(node)
         self._ready_counts[self._node_lane[node]][self._node_fu[node]] += 1
         self._num_ready += 1
+
+    def _release(self, node):
+        """Queue a node whose inputs are all available, or park it until
+        its round opens.  (:meth:`_complete_batch` inlines this.)"""
+        r = self._node_round[node]
+        if self._gated and r > self._current_round:
+            self._round_parked.setdefault(r, []).append(node)
+        else:
+            self._enqueue_ready(node)
+
+    def _unpark(self, r):
+        """Round ``r`` opened: queue every node parked on it, in parking
+        order, and return them."""
+        nodes = self._round_parked.pop(r, ())
+        for node in nodes:
+            self._enqueue_ready(node)
+        return nodes
 
     def resume_parked(self, node):
         """Re-queue a node that was parked on a TLB walk or full/empty bit."""
@@ -273,13 +268,13 @@ class DatapathScheduler:
         ready = self._ready
         ready_counts = self._ready_counts
         mem_if = self.mem_if
-        mem_issue = mem_if.issue
-        # Scratchpad fast path: when the interface exposes a precomputed
-        # per-node plan (SpadInterface.bind), its issue logic is fused into
-        # this loop — same operations in the same order, minus ~1 call per
-        # memory node per cycle.
+        # Scratchpad issue is fused into this loop against the per-node
+        # plan SpadInterface.bind precomputed; other interfaces (cache)
+        # are called per memory node.
         mem_plan = getattr(mem_if, "_node_plan", None)
-        if mem_plan is not None:
+        if mem_plan is None:
+            mem_issue = mem_if.issue
+        else:
             spad = mem_if.spad
             spad_ports = mem_if._ports
             access_by_array = mem_if._access_by_array
@@ -290,7 +285,6 @@ class DatapathScheduler:
             resume = self.resume_parked
         evq = self._queue
         schedule = evq.schedule
-        complete = self.complete_node
         complete_batch = self._complete_batch
         busy_begin = self.busy.begin
         num_fu = _NUM_FU
@@ -306,6 +300,8 @@ class DatapathScheduler:
         # scheduled since its last append (tracked via the queue's sequence
         # counter) — otherwise the foreign event could be due at the same
         # tick and batching would reorder it relative to the completions.
+        # Every delay is at least one tick (every op takes >= 1 cycle), so
+        # each completion gets a sequence number the guard can see.
         # delay -> [node list, expected queue seq]; the last-touched entry
         # is kept in locals, since consecutive issues usually share a delay.
         batches = {}
@@ -353,84 +349,50 @@ class DatapathScheduler:
                     conflicts += 1
                     rem_append(node)
                     continue
+                # status: the completion delay in ticks (an int), "parked",
+                # or "issued" (the cache owns the completion event).
                 kind = node_kind[node]
-                if kind:
-                    if mem_plan is None:
-                        status = mem_issue(self, node, cycle)
-                    else:
-                        # SpadInterface.issue fused inline (see preamble).
-                        plan = mem_plan[node]
-                        bi = plan[1]
-                        if bi > 0:
-                            if plan_ready[bi][plan[2]]:
-                                bi = 0  # data arrived: fall through
-                        elif bi < 0:
-                            plan_bits[-bi].is_ready(plan[4])  # raises
-                        if bi:
-                            plan_bits[bi].wait_bit(
-                                plan[2], lambda _n=node: resume(_n))
-                            status = "parked"
-                        else:
-                            slot = plan_slots[plan[0]]
-                            if slot is None:
-                                # Unknown array: raises ConfigError.
-                                spad.try_access(plan[3], 0, cycle)
-                            if slot[0] != cycle:
-                                slot[0] = cycle
-                                slot[1] = 1
-                                status = lat_ticks
-                            elif slot[1] >= spad_ports:
-                                spad.conflicts += 1
-                                status = "retry"
-                            else:
-                                slot[1] += 1
-                                status = lat_ticks
-                            if status is lat_ticks:
-                                spad.accesses += 1
-                                access_by_array[plan[3]] += 1
+                if not kind:
+                    status = node_ticks[node]
+                elif mem_plan is None:
+                    status = mem_issue(self, node, cycle)
                     if status == "retry":
                         rem_append(node)
                         continue
-                    used[fu] += 1
-                    counts[fu] -= 1
-                    if status != "parked":
-                        if in_flight == 0:
-                            busy_begin(now)
-                        in_flight += 1
-                        if round_started is not None:
-                            rr = node_round[node]
-                            if rr >= 0 and not round_started[rr]:
-                                round_started[rr] = True
-                                if rr + 1 < num_rounds:
-                                    schedule_at(now + ii_ticks, open_gate,
-                                                rr + 1)
-                        if kind == 1:
-                            loads += 1
-                        else:
-                            stores += 1
-                        if type(status) is int:
-                            # The interface left scheduling to us: batch.
-                            if (status == last_delay
-                                    and last_entry[1] == evq._seq):
-                                last_entry[0].append(node)
-                            else:
-                                entry = batches.get(status)
-                                if (entry is not None
-                                        and entry[1] == evq._seq):
-                                    entry[0].append(node)
-                                else:
-                                    lst = [node]
-                                    seq = evq._seq
-                                    schedule(status, complete_batch, lst)
-                                    for e in batches.values():
-                                        if e[1] == seq:
-                                            e[1] = seq + 1
-                                    entry = batches[status] = [lst, seq + 1]
-                                last_delay = status
-                                last_entry = entry
                 else:
-                    used[fu] += 1
-                    counts[fu] -= 1
+                    plan = mem_plan[node]
+                    bi = plan[1]
+                    if bi > 0:
+                        if plan_ready[bi][plan[2]]:
+                            bi = 0  # data arrived: fall through
+                    elif bi < 0:
+                        # Out-of-range offset: raises the bounds error.
+                        plan_bits[-bi].is_ready(plan[4])
+                    if bi:
+                        plan_bits[bi].wait_bit(
+                            plan[2], lambda _n=node: resume(_n))
+                        status = "parked"
+                    else:
+                        # Scratchpad.try_access against the bank slot.
+                        slot = plan_slots[plan[0]]
+                        if slot is None:
+                            # Unknown array: raises ConfigError.
+                            spad.try_access(plan[3], 0, cycle)
+                        if slot[0] != cycle:
+                            slot[0] = cycle
+                            slot[1] = 1
+                        elif slot[1] >= spad_ports:
+                            spad.conflicts += 1
+                            rem_append(node)
+                            continue
+                        else:
+                            slot[1] += 1
+                        spad.accesses += 1
+                        access_by_array[plan[3]] += 1
+                        status = lat_ticks
+                used[fu] += 1
+                counts[fu] -= 1
+                if status != "parked":
                     if in_flight == 0:
                         busy_begin(now)
                     in_flight += 1
@@ -441,27 +403,28 @@ class DatapathScheduler:
                             if rr + 1 < num_rounds:
                                 schedule_at(now + ii_ticks, open_gate,
                                             rr + 1)
-                    delay = node_ticks[node]
-                    if delay == last_delay and last_entry[1] == evq._seq:
-                        last_entry[0].append(node)
-                    elif delay > 0:
-                        entry = batches.get(delay)
-                        if entry is not None and entry[1] == evq._seq:
-                            entry[0].append(node)
+                    if kind == 1:
+                        loads += 1
+                    elif kind == 2:
+                        stores += 1
+                    if type(status) is int:
+                        if (status == last_delay
+                                and last_entry[1] == evq._seq):
+                            last_entry[0].append(node)
                         else:
-                            lst = [node]
-                            seq = evq._seq
-                            schedule(delay, complete_batch, lst)
-                            for e in batches.values():
-                                if e[1] == seq:
-                                    e[1] = seq + 1
-                            entry = batches[delay] = [lst, seq + 1]
-                        last_delay = delay
-                        last_entry = entry
-                    else:
-                        # Zero-delay events live in the tick FIFO, which
-                        # assigns no sequence numbers — unbatchable.
-                        schedule(0, complete, node)
+                            entry = batches.get(status)
+                            if entry is not None and entry[1] == evq._seq:
+                                entry[0].append(node)
+                            else:
+                                lst = [node]
+                                seq = evq._seq
+                                schedule(status, complete_batch, lst)
+                                for e in batches.values():
+                                    if e[1] == seq:
+                                        e[1] = seq + 1
+                                entry = batches[status] = [lst, seq + 1]
+                            last_delay = status
+                            last_entry = entry
                 num_ready -= 1
                 if counts[fu] == 0 or used[fu] >= limits[fu]:
                     issuable -= 1
@@ -490,17 +453,16 @@ class DatapathScheduler:
     # -- completion -----------------------------------------------------------
 
     def _complete_batch(self, nodes):
-        """Complete a batch of nodes that share one completion tick.
+        """Complete nodes whose results are available this tick, in list
+        order: release (or round-park) their successors, advance rounds,
+        and kick one issue pass for the edge.
 
-        Semantically identical to calling :meth:`complete_node` once per
-        node in list order, but locals are bound once per batch and the
-        trailing kick runs once: per-node kicks after the first were
-        no-ops anyway, since the pass for this edge was already pending,
-        and no foreign event can be scheduled mid-batch to care about the
-        kick's sequence position.
+        The only completion body: the issue pass batches fixed-latency
+        completions into one event each, and :meth:`complete_node` (the
+        cache callback) passes a batch of one.  Releasing successors is
+        :meth:`_release` inlined, since it runs once per node.
         """
-        queue = self._queue
-        now = queue.now
+        now = self._queue.now
         in_flight = self._in_flight
         indegree = self._indegree
         successors = self._successors
@@ -509,8 +471,7 @@ class DatapathScheduler:
         node_fu = self._node_fu
         ready = self._ready
         ready_counts = self._ready_counts
-        barriers = self.round_barriers
-        gated = barriers or self._ii_gated
+        gated = self._gated
         parked = self._round_parked
         remaining = self._round_remaining
         num_rounds = len(remaining)
@@ -554,73 +515,11 @@ class DatapathScheduler:
         if finished:
             self._finish()
             return
-        if self._num_ready:
-            remainder = now % self._period
-            when = now if remainder == 0 else now + (self._period - remainder)
-            pending = self._scheduled_passes
-            if not pending or min(pending) > when:
-                pending.add(when)
-                queue.schedule_at(when, self._issue_pass)
+        self._kick()
 
     def complete_node(self, node):
-        """A node's result is available (called by FUs and the memory system).
-
-        Runs once per node, so releasing (or round-parking) successors,
-        ``_enqueue_ready`` and ``_kick`` are inlined here — the method
-        versions remain for the cold paths (start, parked-node resume,
-        round advancement).
-        """
-        in_flight = self._in_flight - 1
-        self._in_flight = in_flight
-        if in_flight == 0:
-            self.busy.end(self._queue.now)
-        barriers = self.round_barriers
-        gated = barriers or self._ii_gated
-        current_round = self._current_round
-        succs = self._successors[node]
-        if succs:
-            indegree = self._indegree
-            node_round = self._node_round
-            node_lane = self._node_lane
-            node_fu = self._node_fu
-            ready = self._ready
-            ready_counts = self._ready_counts
-            parked = self._round_parked
-            num_ready = self._num_ready
-            for succ in succs:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    r = node_round[succ]
-                    if gated and r > current_round:
-                        if r in parked:
-                            parked[r].append(succ)
-                        else:
-                            parked[r] = [succ]
-                    else:
-                        lane = node_lane[succ]
-                        ready[lane].append(succ)
-                        ready_counts[lane][node_fu[succ]] += 1
-                        num_ready += 1
-            self._num_ready = num_ready
-        r = self._node_round[node]
-        if r >= 0 and gated:
-            remaining = self._round_remaining
-            remaining[r] -= 1
-            if current_round < len(remaining) and remaining[current_round] == 0:
-                self._advance_rounds()
-        self._completed += 1
-        if self._completed == self._num_nodes:
-            self._finish()
-            return
-        if self._num_ready:
-            queue = self._queue
-            now = queue.now
-            remainder = now % self._period
-            when = now if remainder == 0 else now + (self._period - remainder)
-            pending = self._scheduled_passes
-            if not pending or min(pending) > when:
-                pending.add(when)
-                queue.schedule_at(when, self._issue_pass)
+        """A node's result is available (called by the memory system)."""
+        self._complete_batch((node,))
 
     def _advance_rounds(self):
         while (self._current_round < len(self._round_remaining)
@@ -630,8 +529,7 @@ class DatapathScheduler:
                 self._obs_trace(self._queue.now, "round %d/%d",
                                 self._current_round,
                                 len(self._round_remaining))
-            for node in self._round_parked.pop(self._current_round, ()):
-                self._enqueue_ready(node)
+            self._unpark(self._current_round)
 
     def _open_gate(self, target):
         """Modulo-mode round gate: II cycles elapsed since round
@@ -646,10 +544,7 @@ class DatapathScheduler:
         if self._obs_trace is not None:
             self._obs_trace(self._queue.now, "II gate: round %d/%d open",
                             target, len(self._round_remaining))
-        parked = self._round_parked.pop(target, None)
-        if parked:
-            for node in parked:
-                self._enqueue_ready(node)
+        if self._unpark(target):
             self._kick()
 
     def reg_stats(self, stats, prefix="accel0.sched"):
@@ -693,6 +588,10 @@ class SpadInterface:
     Loads and stores hit partitioned SRAM banks with a fixed 1-cycle access,
     subject to per-bank port arbitration.  Arrays registered with full/empty
     bits gate accesses at cache-line granularity for DMA-triggered compute.
+
+    There is no per-node ``issue`` method: the scheduler's issue pass runs
+    the access inline against the plans :meth:`bind` resolves, because a
+    call per memory node costs DMA design sweeps about 8% of throughput.
     """
 
     def __init__(self, sim, clock, spad, ready_bits=None, latency_cycles=1):
@@ -821,44 +720,6 @@ class SpadInterface:
         """Per-cycle reset hook (banks self-arbitrate)."""
         pass  # the scratchpad tracks per-cycle port use itself
 
-    def issue(self, sched, node, cycle):
-        """Try to issue one memory node this cycle.
-
-        Returns ``"retry"``/``"parked"``, or the completion delay in ticks
-        (an int) — the scheduler batches and schedules the completion.
-        """
-        if self._node_plan is None:
-            self.bind(sched)
-        slot_idx, bi, bit, array, offset = self._node_plan[node]
-        if bi > 0:
-            if self._plan_ready[bi][bit]:
-                bi = 0  # data arrived: fall through to the access
-        elif bi < 0:
-            # Out-of-range offset: reproduce the bounds error at issue
-            # time, as the unoptimized path did.
-            self._plan_bits[-bi].is_ready(offset)
-        if bi:
-            self._plan_bits[bi].wait_bit(
-                bit, lambda: sched.resume_parked(node))
-            return "parked"
-        spad = self.spad
-        slot = self._plan_slots[slot_idx]
-        if slot is None:
-            # Unknown array: the slow path raises the ConfigError.
-            spad.try_access(array, 0, cycle)
-        # Scratchpad.try_access inlined against the precomputed bank slot.
-        if slot[0] != cycle:
-            slot[0] = cycle
-            slot[1] = 1
-        elif slot[1] >= self._ports:
-            spad.conflicts += 1
-            return "retry"
-        else:
-            slot[1] += 1
-        spad.accesses += 1
-        self._access_by_array[array] += 1
-        return self._latency_ticks
-
 
 class CacheInterface:
     """Memory interface for cache-based designs.
@@ -947,8 +808,6 @@ class CacheInterface:
         owned by the cache), or a completion delay in ticks (an int) for
         fixed-latency paths, which the scheduler batches and schedules.
         """
-        if self._node_array is None:
-            self.bind(sched)
         array = self._node_array[node]
         if array in self.internal:
             if not self.spad.try_access(array, self._node_index[node], cycle):

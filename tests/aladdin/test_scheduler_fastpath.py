@@ -1,10 +1,12 @@
 """Hot-path machinery of the scheduler: memoized construction tables,
-completion batching, and the cache-port refund on blocked accesses."""
+completion batching and the invariant it rests on, and the cache-port
+refund on blocked accesses."""
 
 import pytest
 
 from repro.aladdin.accelerator import make_scratchpad
 from repro.aladdin.ddg import DDDG
+from repro.aladdin.ir import OP_INFO
 from repro.aladdin.scheduler import (
     CacheInterface,
     DatapathScheduler,
@@ -19,7 +21,7 @@ from repro.memory.coherence import CoherenceDomain
 from repro.memory.dram import DRAM
 from repro.memory.fullempty import ReadyBits
 from repro.memory.tlb import AcceleratorTLB
-from repro.sim.clock import ClockDomain
+from repro.sim.clock import ACCEL_CLOCK_MHZ, ClockDomain
 from repro.sim.kernel import Simulator
 
 from tests.conftest import make_linear_trace
@@ -222,3 +224,17 @@ class TestCachePortRefund:
         assert statuses[:4] == [mem_if._period_ticks] * 4
         assert statuses[4] == "retry"
         assert mem_if._ports_used == 4
+
+
+class TestCompletionDelayInvariant:
+    """Completion batching guards on event sequence numbers, and only
+    events at least one tick away get one: the issue pass relies on every
+    completion delay being positive."""
+
+    def test_every_op_takes_at_least_one_cycle(self):
+        short = {op: info.latency for op, info in OP_INFO.items()
+                 if info.latency < 1}
+        assert not short
+
+    def test_one_accelerator_cycle_is_positive_ticks(self):
+        assert ClockDomain(ACCEL_CLOCK_MHZ).cycles_to_ticks(1) > 0
