@@ -26,6 +26,11 @@ from repro.sim.stats import IntervalTracker
 # counts FU use in flat lists instead of dicts.
 _FU_INDEX = {fu: i for i, fu in enumerate(FuClass.ALL)}
 _NUM_FU = len(FuClass.ALL)
+_MEM = _FU_INDEX[FuClass.MEM]
+# Ready-count column, beside the FU columns, of memory nodes that need a
+# cache port (shared arrays of a cache design).  MEM's column then holds
+# only the memory nodes that issue without one.
+_CPORT = _NUM_FU
 
 
 class DatapathScheduler:
@@ -151,19 +156,21 @@ class DatapathScheduler:
         self._state_cycle = -1
         self._fu_zero = [0] * _NUM_FU
         self._fu_used = [[0] * _NUM_FU for _ in range(self.lanes)]
-        # Ready-set bookkeeping: total ready nodes, plus per-lane per-FU
-        # counts so an issue pass can skip (or stop scanning) a lane whose
-        # queued classes are all saturated — a full scan would only rotate
-        # such a queue without issuing anything.
+        # Ready-set bookkeeping: total ready nodes, plus per-lane counts
+        # per FU class (and per _CPORT) so an issue pass can skip (or stop
+        # scanning) a lane whose queued classes are all saturated — a full
+        # scan would only rotate such a queue without issuing anything.
         self._num_ready = 0
-        self._ready_counts = [[0] * _NUM_FU for _ in range(self.lanes)]
+        self._ready_counts = [[0] * (_NUM_FU + 1) for _ in range(self.lanes)]
         # Ticks of pending _issue_pass events.  A pass may be superseded by
         # an earlier-edge kick; tracking every scheduled tick (instead of
         # only the earliest) keeps a pass from being scheduled twice for
         # the same edge, which used to waste an event and an empty pass.
         self._scheduled_passes = set()
-        # Let the memory interface precompute its own per-node tables.
+        # Let the memory interface precompute its own per-node tables,
+        # including each node's ready-count column.
         mem_if.bind(self)
+        self._node_col = mem_if._node_col
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -207,7 +214,7 @@ class DatapathScheduler:
 
     def _enqueue_ready(self, node):
         self._ready[self._node_lane[node]].append(node)
-        self._ready_counts[self._node_lane[node]][self._node_fu[node]] += 1
+        self._ready_counts[self._node_lane[node]][self._node_col[node]] += 1
         self._num_ready += 1
 
     def _release(self, node):
@@ -268,12 +275,21 @@ class DatapathScheduler:
         ready = self._ready
         ready_counts = self._ready_counts
         mem_if = self.mem_if
+        node_col = self._node_col
+        mem_fu = _MEM
+        cport = _CPORT
         # Scratchpad issue is fused into this loop against the per-node
         # plan SpadInterface.bind precomputed; other interfaces (cache)
-        # are called per memory node.
+        # are called per memory node.  ``ports_spent`` says the cycle's
+        # cache ports are all taken: a shared access would then return
+        # "retry" with no side effect, so the pass keeps the node queued
+        # without the call, and skips lanes where nothing else can issue.
+        ports_spent = False
         mem_plan = getattr(mem_if, "_node_plan", None)
         if mem_plan is None:
             mem_issue = mem_if.issue
+            cache_ports = mem_if.ports
+            ports_spent = mem_if._ports_used >= cache_ports
         else:
             spad = mem_if.spad
             spad_ports = mem_if._ports
@@ -333,7 +349,18 @@ class DatapathScheduler:
             for fu in range(num_fu):
                 if counts[fu] and used[fu] < limits[fu]:
                     issuable += 1
-            if not issuable:
+            # port_bound: MEM is unsaturated, but every ready MEM node
+            # needs a cache port (counts[mem_fu] holds those that do not).
+            port_bound = (counts[cport] and not counts[mem_fu]
+                          and used[mem_fu] < limits[mem_fu])
+            if port_bound:
+                issuable += 1
+                if ports_spent and issuable == 1:
+                    # Nothing can issue: a scan would count every non-MEM
+                    # node (all saturated) and retry every MEM node.
+                    conflicts += len(queue) - counts[cport]
+                    continue
+            elif not issuable:
                 continue
             # Rebuild the lane queue instead of pop/push scanning: skipped
             # and retried nodes keep their relative order (the old deque
@@ -352,10 +379,16 @@ class DatapathScheduler:
                 # status: the completion delay in ticks (an int), "parked",
                 # or "issued" (the cache owns the completion event).
                 kind = node_kind[node]
+                col = fu
                 if not kind:
                     status = node_ticks[node]
                 elif mem_plan is None:
+                    col = node_col[node]
+                    if ports_spent and col == cport:
+                        rem_append(node)
+                        continue
                     status = mem_issue(self, node, cycle)
+                    ports_spent = mem_if._ports_used >= cache_ports
                     if status == "retry":
                         rem_append(node)
                         continue
@@ -391,7 +424,7 @@ class DatapathScheduler:
                         access_by_array[plan[3]] += 1
                         status = lat_ticks
                 used[fu] += 1
-                counts[fu] -= 1
+                counts[col] -= 1
                 if status != "parked":
                     if in_flight == 0:
                         busy_begin(now)
@@ -426,13 +459,25 @@ class DatapathScheduler:
                             last_delay = status
                             last_entry = entry
                 num_ready -= 1
-                if counts[fu] == 0 or used[fu] >= limits[fu]:
+                if used[fu] >= limits[fu] or not counts[fu] and (
+                        fu != mem_fu or not counts[cport]):
                     issuable -= 1
                     if not issuable:
                         # Everything still queued belongs to saturated
                         # classes: keep it, order unchanged.
                         remaining.extend(queue[i + 1:])
                         break
+                if (ports_spent and issuable == 1 and counts[cport]
+                        and not counts[mem_fu]
+                        and used[mem_fu] < limits[mem_fu]):
+                    # Only port-bound MEM is left: the rest of a scan would
+                    # count its non-MEM nodes and retry its MEM nodes.
+                    rest = queue[i + 1:]
+                    for node in rest:
+                        if node_fu[node] != mem_fu:
+                            conflicts += 1
+                    remaining.extend(rest)
+                    break
             ready[lane] = remaining
         self._num_ready = num_ready
         self._in_flight = in_flight
@@ -468,7 +513,7 @@ class DatapathScheduler:
         successors = self._successors
         node_round = self._node_round
         node_lane = self._node_lane
-        node_fu = self._node_fu
+        node_col = self._node_col
         ready = self._ready
         ready_counts = self._ready_counts
         gated = self._gated
@@ -498,7 +543,7 @@ class DatapathScheduler:
                         else:
                             lane = node_lane[succ]
                             ready[lane].append(succ)
-                            ready_counts[lane][node_fu[succ]] += 1
+                            ready_counts[lane][node_col[succ]] += 1
                             num_ready += 1
                 self._num_ready = num_ready
             r = node_round[node]
@@ -604,6 +649,7 @@ class SpadInterface:
         self._ports = spad.ports
         self._access_by_array = spad.access_by_array
         self._node_plan = None
+        self._node_col = None
         self._plan_slots = None
         self._plan_bits = None
         self._plan_ready = None
@@ -715,6 +761,8 @@ class SpadInterface:
         self._plan_bits = bits_objs
         self._plan_ready = ready_arrs
         self._node_plan = plans
+        # No access needs a cache port: memory nodes count in MEM's column.
+        self._node_col = sched._node_fu
 
     def new_cycle(self, cycle):
         """Per-cycle reset hook (banks self-arbitrate)."""
@@ -751,11 +799,12 @@ class CacheInterface:
         self._node_vaddr = None
         self._node_size = None
         self._node_is_write = None
+        self._node_col = None
 
     def bind(self, sched):
-        """Precompute per-node tables (virtual address, access size, and
-        store flag are all static per trace node) so the per-cycle issue
-        path does no dict or declaration lookups.
+        """Precompute per-node tables (virtual address, access size, store
+        flag, and ready-count column are all static per trace node) so the
+        per-cycle issue path does no dict or declaration lookups.
 
         The tables are pure functions of the trace, the internal-array
         set, and the address map, so they are memoized on the trace and
@@ -772,13 +821,14 @@ class CacheInterface:
             memo = trace._cache_plan_memo = {}
         cached = memo.get(key)
         if cached is not None:
-            self._node_vaddr = cached[0]
-            self._node_size = cached[1]
-            self._node_is_write = cached[2]
+            (self._node_vaddr, self._node_size, self._node_is_write,
+             self._node_col) = cached
             return
         node_vaddr = [0] * n
         node_size = [0] * n
         node_is_write = [False] * n
+        # Shared-array nodes count in the _CPORT column.
+        node_col = list(sched._node_fu)
         internal = self.internal
         arrays = trace.arrays
         node_ops = trace.node_op
@@ -790,10 +840,12 @@ class CacheInterface:
             node_vaddr[node] = addr_map[array] + node_index[node] * word_bytes
             node_size[node] = word_bytes
             node_is_write[node] = node_ops[node] == Op.STORE
-        memo[key] = (node_vaddr, node_size, node_is_write)
+            node_col[node] = _CPORT
+        memo[key] = (node_vaddr, node_size, node_is_write, node_col)
         self._node_vaddr = node_vaddr
         self._node_size = node_size
         self._node_is_write = node_is_write
+        self._node_col = node_col
 
     def new_cycle(self, cycle):
         """Reset the per-cycle cache-port counter."""
@@ -807,6 +859,14 @@ class CacheInterface:
         Returns ``"retry"``/``"parked"``, ``"issued"`` (completion event
         owned by the cache), or a completion delay in ticks (an int) for
         fixed-latency paths, which the scheduler batches and schedules.
+
+        A shared access takes a cache port when it parks on a TLB walk or
+        the cache accepts it.  An access the cache rejects (MSHRs full)
+        leaves the port free, or a blocked lane would starve peers for the
+        whole cycle on a port it never used; it still counts a TLB hit.
+        Once the ports are spent, the issue pass never calls this for a
+        shared node: the call would return ``"retry"`` before touching the
+        TLB or the cache.
         """
         array = self._node_array[node]
         if array in self.internal:
@@ -815,38 +875,21 @@ class CacheInterface:
             return self._period_ticks
         if self._ports_used >= self.ports:
             return "retry"
-        self._ports_used += 1
         if self.perfect:
+            self._ports_used += 1
             return self._period_ticks
-        status = self._translated_access(sched, node, self._node_vaddr[node],
-                                         self._node_size[node], array)
-        if status == "retry":
-            # The cache rejected the access (MSHRs full): refund the port
-            # slot, or a blocked lane would starve peers for the whole
-            # cycle on a port it never used.
-            self._ports_used -= 1
-        return status
-
-    def _translated_access(self, sched, node, vaddr, size, array):
-        result = {"sync": True, "paddr": None}
-
-        def on_translated(paddr):
-            if result["sync"]:
-                result["paddr"] = paddr
-            else:
-                # Walk finished later: retry the whole access; the TLB now hits.
-                sched.resume_parked(node)
-
-        hit = self.tlb.translate(vaddr, self.phys_offset, on_translated)
-        result["sync"] = False
-        if not hit:
+        vaddr = self._node_vaddr[node]
+        paddr = self.tlb.hit(vaddr)
+        if paddr is None:
+            # The walk's callback retries the access; the TLB then hits.
+            self._ports_used += 1
+            self.tlb.translate(vaddr, self.phys_offset,
+                               lambda _paddr: sched.resume_parked(node))
             return "parked"
-        is_write = self._node_is_write[node]
-        status = self.cache.access(
-            result["paddr"], size, is_write,
-            callback=lambda: sched.complete_node(node),
-            stream=array,
-        )
-        if status == "blocked":
+        if self.cache.access(paddr, self._node_size[node],
+                             self._node_is_write[node],
+                             lambda: sched.complete_node(node),
+                             array) == "blocked":
             return "retry"
+        self._ports_used += 1
         return "issued"

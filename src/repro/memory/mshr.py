@@ -29,12 +29,15 @@ class MSHRFile:
 
         Returns False when no entry is free (the access must retry later).
         """
-        if line_addr in self._entries:
+        entries = self._entries
+        if line_addr in entries:
             raise ValueError(f"MSHR already allocated for line 0x{line_addr:x}")
-        if self.full():
+        in_use = len(entries)
+        if in_use >= self.num_entries:
             return False
-        self._entries[line_addr] = []
-        self.max_in_use = max(self.max_in_use, len(self._entries))
+        entries[line_addr] = []
+        if in_use >= self.max_in_use:
+            self.max_in_use = in_use + 1
         return True
 
     def merge(self, line_addr, waiter):

@@ -35,23 +35,35 @@ class AcceleratorTLB:
         self.evictions = 0
         self._trace = trace.tracer("tlb", name)
 
-    def _vpn(self, vaddr):
-        return vaddr // self.page_size
+    def hit(self, vaddr):
+        """The physical address of ``vaddr`` if its page is resident.
+
+        A hit counts and refreshes the entry's LRU position.  A miss
+        returns ``None`` and counts nothing: :meth:`translate` owns the
+        miss path (counting, walk coalescing, the walker).
+        """
+        page_size = self.page_size
+        vpn = vaddr // page_size
+        ppn = self._tlb.get(vpn)
+        if ppn is None:
+            return None
+        self.hits += 1
+        self._tlb.move_to_end(vpn)
+        return ppn * page_size + vaddr % page_size
 
     def translate(self, vaddr, phys_offset, callback):
         """Translate ``vaddr``; ``callback(paddr)`` fires when done.
 
         Hits complete immediately (the lookup is folded into the cache hit
         latency, as in the paper); misses pay the walk latency, serialized
-        through the single walker.
+        through the single walker.  Returns whether it hit.
         """
-        vpn = self._vpn(vaddr)
-        offset = vaddr % self.page_size
-        if vpn in self._tlb:
-            self.hits += 1
-            self._tlb.move_to_end(vpn)
-            callback(self._tlb[vpn] * self.page_size + offset)
+        paddr = self.hit(vaddr)
+        if paddr is not None:
+            callback(paddr)
             return True
+        vpn = vaddr // self.page_size
+        offset = vaddr % self.page_size
         self.misses += 1
         if vpn in self._pending:
             # A walk for this page is already in flight: coalesce.

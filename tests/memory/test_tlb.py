@@ -49,6 +49,43 @@ class TestTranslation:
         assert called  # callback fired inside translate()
 
 
+class TestHitFastPath:
+    def test_hit_returns_paddr_and_counts(self):
+        sim, tlb = make_tlb()
+        tlb.translate(0x2000, OFFSET, lambda p: None)
+        sim.run()
+        hits = tlb.hits
+        assert tlb.hit(0x2ABC) == 0x2ABC + OFFSET
+        assert tlb.hits == hits + 1
+
+    def test_hit_refreshes_lru(self):
+        sim, tlb = make_tlb(entries=2)
+        tlb.translate(0 * 4096, OFFSET, lambda p: None)
+        sim.run()
+        tlb.translate(1 * 4096, OFFSET, lambda p: None)
+        sim.run()
+        assert tlb.hit(0) == OFFSET          # refresh page 0
+        tlb.translate(2 * 4096, OFFSET, lambda p: None)  # evicts page 1
+        sim.run()
+        assert tlb.evictions == 1
+        assert tlb.hit(0) == OFFSET          # page 0 survived
+        assert tlb.hit(1 * 4096) is None     # page 1 was the victim
+
+    def test_miss_returns_none_and_counts_nothing(self):
+        sim, tlb = make_tlb()
+        # One walk in flight, so the miss would have coalesced into it.
+        tlb.translate(0x0, OFFSET, lambda p: None)
+        before = (tlb.hits, tlb.misses, tlb.walks,
+                  {vpn: list(w) for vpn, w in tlb._pending.items()})
+        assert tlb.hit(0x8) is None
+        assert tlb.hit(0x5000) is None
+        after = (tlb.hits, tlb.misses, tlb.walks,
+                 {vpn: list(w) for vpn, w in tlb._pending.items()})
+        assert after == before
+        sim.run()
+        assert tlb.walks == 1
+
+
 class TestWalkCoalescing:
     def test_concurrent_misses_same_page_one_walk(self):
         sim, tlb = make_tlb()

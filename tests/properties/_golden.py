@@ -10,7 +10,8 @@ cache paths reproduce it byte-for-byte.
 The wider net is ``golden_digests.json``: one SHA-256 of the canonical
 snapshot per (workload, design shape) over all 19 workloads and the
 shapes in :data:`DIGEST_SHAPES` — modulo and off pipelining, cache with
-modulo, and perfect memory — asserted by ``test_property_digests.py``.
+modulo, a port-starved cache (8 lanes on one port), and perfect memory —
+asserted by ``test_property_digests.py``.
 
 Regenerate (only when a *modeling* change legitimately moves the numbers):
 
@@ -50,7 +51,9 @@ _CACHE_4K = dict(lanes=4, partitions=4, mem_interface="cache",
                  prefetcher="stride")
 
 #: Design shapes of the digest net: the scheduler paths the snapshot
-#: designs above never reach (II gating, free overlap, perfect memory).
+#: designs above never reach (II gating, free overlap, perfect memory,
+#: and lanes starved for cache ports, where the issue pass skips lanes
+#: whose only issuable class is blocked on the spent port budget).
 DIGEST_SHAPES = {
     "dma-modulo": DesignPoint(lanes=4, partitions=4, mem_interface="dma",
                               pipelining="modulo"),
@@ -58,6 +61,11 @@ DIGEST_SHAPES = {
                            pipelining="off"),
     "cache-modulo": DesignPoint(pipelining="modulo", **_CACHE_4K),
     "cache-perfect": DesignPoint(perfect_memory=True, **_CACHE_4K),
+    "cache-8l-1p-modulo": DesignPoint(lanes=8, partitions=4,
+                                      mem_interface="cache",
+                                      cache_size_kb=16, cache_assoc=4,
+                                      cache_ports=1, prefetcher="stride",
+                                      pipelining="modulo"),
 }
 
 DIGEST_KEYS = tuple(f"{workload}/{shape}" for workload in ALL_WORKLOADS

@@ -3,7 +3,8 @@ goldens do not cover stays bit-identical.
 
 ``golden_digests.json`` holds one SHA-256 of the canonical snapshot (all
 stats included) per workload x shape in ``DIGEST_SHAPES``: modulo and
-off pipelining on DMA, modulo on a cache, and perfect memory.  A
+off pipelining on DMA, modulo on a cache, modulo on a port-starved cache
+(8 lanes, one port), and perfect memory.  A
 legitimate modeling change regenerates them with
 ``PYTHONPATH=src python -m tests.properties._golden digests``, which
 prints the keys that moved.
